@@ -35,6 +35,7 @@
 //! overwhelmingly likely to be interrupted at least once, which is what
 //! exercises the protocol-v2 resume path.
 
+use crate::client::wake_listener;
 use secsim_workloads::SplitMix64;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -129,26 +130,26 @@ impl ChaosProxy {
     /// connection to `upstream` under `plan`'s fault schedule.
     pub fn spawn(plan: ChaosPlan, upstream: SocketAddr) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accepted = Arc::new(AtomicU64::new(0));
         let accept_thread = {
             let stop = Arc::clone(&stop);
             let accepted = Arc::clone(&accepted);
-            thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((client, _)) => {
-                            let conn = accepted.fetch_add(1, Ordering::Relaxed);
-                            let fault = plan.fault_for(conn);
-                            thread::spawn(move || relay(client, upstream, fault));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
+            // Blocking accept; `stop` wakes it with a throwaway
+            // connection, which is dropped here unrelayed and uncounted.
+            thread::spawn(move || loop {
+                let conn = listener.accept();
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                match conn {
+                    Ok((client, _)) => {
+                        let conn = accepted.fetch_add(1, Ordering::Relaxed);
+                        let fault = plan.fault_for(conn);
+                        thread::spawn(move || relay(client, upstream, fault));
                     }
+                    Err(_) => break,
                 }
             })
         };
@@ -168,8 +169,9 @@ impl ChaosProxy {
     /// Stops accepting new connections. In-flight relays run to their
     /// natural end (EOF or fault).
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.accept_thread.take() {
+            self.stop.store(true, Ordering::SeqCst);
+            wake_listener(self.addr);
             let _ = t.join();
         }
     }

@@ -39,7 +39,7 @@ use secsim_stats::Json;
 use secsim_workloads::SplitMix64;
 use std::cell::RefCell;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// Why a server interaction failed. Any of these aborts the client
@@ -512,4 +512,22 @@ pub fn shutdown(addr: &str) -> Result<(), ClientError> {
             ev.render()
         ))),
     }
+}
+
+/// Wakes a thread blocked in `accept()` on a listener bound to `addr`
+/// by opening one throwaway connection to it. The accepting side is
+/// expected to re-check its stop flag after every `accept()` and drop
+/// the connection. An unspecified listen IP (`0.0.0.0`, `::`) is
+/// reached through loopback. Errors mean the listener is already gone,
+/// so there is nothing left to wake; the connect is bounded so a
+/// saturated backlog cannot stall the caller.
+pub fn wake_listener(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }

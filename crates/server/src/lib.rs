@@ -41,15 +41,26 @@
 //! `complete` events (never a bare EOF), flushes its counters and job
 //! timeline under `results/`, and returns.
 //!
+//! Admission is event-driven: the accept loop blocks in `accept()`,
+//! idle workers block on the queue's condition variable, and followers
+//! block on their job's event buffer, so no job waits out a polling
+//! interval. Shutdown clears the accepting flag under the queue lock,
+//! wakes every idle worker, then wakes `accept()` by connecting once to
+//! the server's own listen address; the accept loop sees the flag and
+//! exits. A SIGINT only sets a flag (std's `accept` retries on
+//! `EINTR`), so when a handler is installed `serve` also runs a small
+//! watcher thread that turns that flag into the same shutdown.
+//!
 //! Every sweep job is bounded by a wall-clock watchdog: points still
 //! missing when the job's deadline passes are reported through the
 //! existing [`SweepError::Failed`] degradation path — a slow grid costs
 //! holes, never a wedged server.
 
+use secsim_bench::client::wake_listener;
 use secsim_bench::protocol::{self, codes, Request};
 use secsim_bench::{faultpoint, results_dir, ResultStore, Sweep, SweepError, SweepPoint};
 use secsim_cpu::SimReport;
-use secsim_stats::{Json, Timeline};
+use secsim_stats::{Histogram, Json, Timeline};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -162,6 +173,8 @@ struct Registry {
 struct QueuedJob {
     state: Arc<JobState>,
     kind: JobKind,
+    /// When the job was admitted to the queue.
+    admitted: Instant,
 }
 
 enum JobKind {
@@ -178,6 +191,35 @@ impl JobKind {
     }
 }
 
+/// Per-job latency histograms in whole milliseconds, reported under
+/// `status.latency_ms`.
+struct Latencies {
+    /// Admission to `running`.
+    queue: Histogram,
+    /// Admission to `complete`.
+    job: Histogram,
+}
+
+impl Latencies {
+    /// One-millisecond buckets up to a minute; slower samples land in
+    /// the overflow bucket, whose percentile reads as the maximum.
+    fn new() -> Self {
+        Self { queue: Histogram::new(1, 60_000), job: Histogram::new(1, 60_000) }
+    }
+
+    fn to_json(&self) -> Json {
+        let summary = |h: &Histogram| {
+            Json::obj(vec![
+                ("p50", Json::UInt(h.percentile(50.0))),
+                ("p90", Json::UInt(h.percentile(90.0))),
+                ("p99", Json::UInt(h.percentile(99.0))),
+                ("count", Json::UInt(h.count())),
+            ])
+        };
+        Json::obj(vec![("queue", summary(&self.queue)), ("job", summary(&self.job))])
+    }
+}
+
 /// State shared by the accept loop, connection threads and workers.
 struct Shared {
     sweep: Sweep,
@@ -189,9 +231,16 @@ struct Shared {
     retain_jobs: usize,
     /// Connections currently streaming job events; shutdown waits for
     /// this to reach zero so no client ever sees a bare EOF.
-    streaming: AtomicUsize,
-    /// Cleared when shutdown is requested: no new jobs.
+    streaming: Mutex<usize>,
+    /// Signalled when `streaming` drops to zero.
+    streams_idle: Condvar,
+    /// Cleared (under the queue lock) when shutdown is requested: no
+    /// new jobs.
     accepting: AtomicBool,
+    /// The listen address; [`Shared::stop`] connects here to wake the
+    /// blocked accept loop.
+    listen_addr: SocketAddr,
+    latency: Mutex<Latencies>,
     active_jobs: AtomicU64,
     jobs_done: AtomicU64,
     next_job: AtomicU64,
@@ -204,6 +253,20 @@ struct Shared {
 impl Shared {
     fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
+    }
+
+    /// Requests shutdown: refuses new jobs, wakes every idle worker so
+    /// it can drain and exit, and wakes the accept loop. Clearing the
+    /// flag under the queue lock orders it against a worker's
+    /// check-then-wait and a submitter's check-then-push, so neither
+    /// can miss it. Idempotent.
+    fn stop(&self) {
+        {
+            let _q = self.queue.lock().expect("queue poisoned");
+            self.accepting.store(false, Ordering::SeqCst);
+        }
+        self.queue_ready.notify_all();
+        wake_listener(self.listen_addr);
     }
 
     /// The `status` event object (also the shutdown flush payload).
@@ -236,6 +299,7 @@ impl Shared {
             ("active_jobs", Json::UInt(self.active_jobs.load(Ordering::Relaxed))),
             ("jobs_done", Json::UInt(self.jobs_done.load(Ordering::Relaxed))),
             ("jobs_retained", Json::UInt(jobs_retained as u64)),
+            ("latency_ms", self.latency.lock().expect("latency poisoned").to_json()),
             (
                 "sweep",
                 Json::obj(vec![
@@ -286,8 +350,17 @@ impl Shared {
     }
 }
 
-/// Set by the SIGINT handler; polled by every accept loop.
+/// Set by the SIGINT handler; each server's SIGINT watcher thread
+/// turns it into a shutdown.
 static SIGINT_SEEN: AtomicBool = AtomicBool::new(false);
+
+/// Set by [`install_sigint_handler`]: only then does
+/// [`JobServer::serve`] start a SIGINT watcher thread.
+static SIGINT_HANDLED: AtomicBool = AtomicBool::new(false);
+
+/// How often a SIGINT watcher checks [`SIGINT_SEEN`]; the extra delay
+/// a Ctrl-C adds to shutdown.
+const SIGINT_POLL: Duration = Duration::from_millis(50);
 
 /// Installs a SIGINT handler that asks every running [`JobServer`] to
 /// drain and exit (the Ctrl-C path of graceful shutdown). Std-only: the
@@ -295,8 +368,9 @@ static SIGINT_SEEN: AtomicBool = AtomicBool::new(false);
 #[cfg(unix)]
 pub fn install_sigint_handler() {
     extern "C" fn on_sigint(_: i32) {
-        SIGINT_SEEN.store(true, Ordering::Relaxed);
+        SIGINT_SEEN.store(true, Ordering::SeqCst);
     }
+    SIGINT_HANDLED.store(true, Ordering::SeqCst);
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
@@ -325,7 +399,7 @@ impl JobServer {
     /// [`serve`](JobServer::serve).
     pub fn bind(cfg: &ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let listen_addr = listener.local_addr()?;
         let mut store = ResultStore::new(cfg.store_dir.clone()).with_budget(cfg.store_bytes);
         if let Some(wait) = cfg.claim_wait {
             store = store.with_claim_wait(wait);
@@ -345,8 +419,11 @@ impl JobServer {
             registry: Mutex::new(Registry::default()),
             retain_events: cfg.retain_events.max(1),
             retain_jobs: cfg.retain_jobs.max(1),
-            streaming: AtomicUsize::new(0),
+            streaming: Mutex::new(0),
+            streams_idle: Condvar::new(),
             accepting: AtomicBool::new(true),
+            listen_addr,
+            latency: Mutex::new(Latencies::new()),
             active_jobs: AtomicU64::new(0),
             jobs_done: AtomicU64::new(0),
             next_job: AtomicU64::new(0),
@@ -374,44 +451,57 @@ impl JobServer {
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
+        let sigint_watcher = SIGINT_HANDLED.load(Ordering::SeqCst).then(|| {
+            let shared = Arc::clone(&self.shared);
+            std::thread::spawn(move || {
+                while shared.accepting.load(Ordering::SeqCst) {
+                    if SIGINT_SEEN.load(Ordering::SeqCst) {
+                        shared.stop();
+                        return;
+                    }
+                    std::thread::sleep(SIGINT_POLL);
+                }
+            })
+        });
 
-        while self.shared.accepting.load(Ordering::Relaxed) {
-            if SIGINT_SEEN.load(Ordering::Relaxed) {
-                self.shared.accepting.store(false, Ordering::Relaxed);
+        // Every accept — a client or the wake connection from
+        // `Shared::stop` — re-checks the flag; the wake connection is
+        // dropped unserved. std's `accept` already retries `EINTR`; on
+        // any other error the loop simply blocks in `accept` again.
+        loop {
+            let conn = self.listener.accept();
+            if !self.shared.accepting.load(Ordering::SeqCst) {
                 break;
             }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nodelay(true).ok();
-                    let shared = Arc::clone(&self.shared);
-                    std::thread::spawn(move || {
-                        let _ = handle_connection(&shared, stream);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            if let Ok((stream, _)) = conn {
+                stream.set_nodelay(true).ok();
+                let shared = Arc::clone(&self.shared);
+                std::thread::spawn(move || {
+                    let _ = handle_connection(&shared, stream);
+                });
             }
         }
 
-        // Drain: workers exit once the queue is empty (accepting is
-        // already false, so nothing refills it). Every queued job still
-        // runs to completion.
-        self.shared.queue_ready.notify_all();
+        // Drain: workers exit once the queue is empty (`stop` already
+        // woke them, and nothing refills the queue). Every queued job
+        // still runs to completion.
         for h in worker_handles {
+            let _ = h.join();
+        }
+        if let Some(h) = sigint_watcher {
             let _ = h.join();
         }
         // Shutdown-race guarantee: connections still replaying events
         // get to deliver their final `complete` before the process can
         // exit — a mid-stream client never sees a bare EOF. Bounded so
         // a wedged socket cannot hold shutdown hostage.
-        let stream_deadline = Instant::now() + Duration::from_secs(30);
-        while self.shared.streaming.load(Ordering::Relaxed) > 0
-            && Instant::now() < stream_deadline
-        {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let streaming = self.shared.streaming.lock().expect("streaming poisoned");
+        drop(
+            self.shared
+                .streams_idle
+                .wait_timeout_while(streaming, Duration::from_secs(30), |n| *n > 0)
+                .expect("streaming poisoned"),
+        );
         let status = self.shared.status_json();
         // Flush next to the store (results/ for the default config) so
         // an ad-hoc server never litters the global results directory.
@@ -446,21 +536,25 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if let Some(j) = q.pop_front() {
                     break Some(j);
                 }
-                if !shared.accepting.load(Ordering::Relaxed) {
+                if !shared.accepting.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) = shared
-                    .queue_ready
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .expect("queue poisoned");
-                q = guard;
+                q = shared.queue_ready.wait(q).expect("queue poisoned");
             }
         };
-        let Some(QueuedJob { state, kind }) = job else { return };
+        let Some(QueuedJob { state, kind, admitted }) = job else { return };
         shared.active_jobs.fetch_add(1, Ordering::Relaxed);
         let begin = shared.now_ms();
         let label = kind.label();
         let id = state.id;
+        // `run_job` emits `running` first thing, so this is the job's
+        // queue wait.
+        shared
+            .latency
+            .lock()
+            .expect("latency poisoned")
+            .queue
+            .record(admitted.elapsed().as_millis() as u64);
         if catch_unwind(AssertUnwindSafe(|| run_job(shared, &state, &kind))).is_err() {
             // Last-resort containment: the stream still terminates with
             // a `complete` so no follower waits forever.
@@ -475,6 +569,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                 ],
             );
         }
+        shared
+            .latency
+            .lock()
+            .expect("latency poisoned")
+            .job
+            .record(admitted.elapsed().as_millis() as u64);
         shared.finish_job(&state);
         let end = shared.now_ms();
         shared
@@ -668,16 +768,20 @@ enum Submit {
     Refused(String),
 }
 
+fn shutting_down() -> Submit {
+    Submit::Refused(protocol::error_line(
+        codes::SHUTTING_DOWN,
+        "server is draining; no new jobs",
+    ))
+}
+
 /// Admits one submission: dedups by content hash onto a live or
 /// retained job, otherwise queues a fresh one (respecting the drain
 /// flag and the bounded queue). The registry lock spans the whole
 /// decision so two identical concurrent submissions cannot both queue.
 fn submit_or_attach(shared: &Arc<Shared>, hash: u64, kind: JobKind) -> Submit {
-    if !shared.accepting.load(Ordering::Relaxed) {
-        return Submit::Refused(protocol::error_line(
-            codes::SHUTTING_DOWN,
-            "server is draining; no new jobs",
-        ));
+    if !shared.accepting.load(Ordering::SeqCst) {
+        return shutting_down();
     }
     let mut reg = shared.registry.lock().expect("registry poisoned");
     if let Some(state) = reg.by_hash.get(&hash).and_then(|id| reg.jobs.get(id)) {
@@ -690,6 +794,12 @@ fn submit_or_attach(shared: &Arc<Shared>, hash: u64, kind: JobKind) -> Submit {
         }
     }
     let mut q = shared.queue.lock().expect("queue poisoned");
+    // Re-checked under the queue lock, which `Shared::stop` holds while
+    // clearing the flag: a job pushed here is one the draining workers
+    // will still see.
+    if !shared.accepting.load(Ordering::SeqCst) {
+        return shutting_down();
+    }
     if q.len() >= shared.queue_cap {
         let hint = retry_after_hint(q.len(), shared.queue_cap);
         return Submit::Refused(protocol::queue_full_line(hint));
@@ -703,7 +813,7 @@ fn submit_or_attach(shared: &Arc<Shared>, hash: u64, kind: JobKind) -> Submit {
     });
     reg.jobs.insert(id, Arc::clone(&state));
     reg.by_hash.insert(hash, id);
-    q.push_back(QueuedJob { state: Arc::clone(&state), kind });
+    q.push_back(QueuedJob { state: Arc::clone(&state), kind, admitted: Instant::now() });
     let depth = q.len() as f64;
     drop(q);
     drop(reg);
@@ -723,14 +833,18 @@ struct StreamGuard<'a>(&'a Shared);
 
 impl<'a> StreamGuard<'a> {
     fn new(shared: &'a Shared) -> Self {
-        shared.streaming.fetch_add(1, Ordering::SeqCst);
+        *shared.streaming.lock().expect("streaming poisoned") += 1;
         Self(shared)
     }
 }
 
 impl Drop for StreamGuard<'_> {
     fn drop(&mut self) {
-        self.0.streaming.fetch_sub(1, Ordering::SeqCst);
+        let mut n = self.0.streaming.lock().expect("streaming poisoned");
+        *n -= 1;
+        if *n == 0 {
+            self.0.streams_idle.notify_all();
+        }
     }
 }
 
@@ -765,11 +879,7 @@ fn follow(
                 if buf.done {
                     break Step::Batch(Vec::new(), true);
                 }
-                let (guard, _) = state
-                    .ready
-                    .wait_timeout(buf, Duration::from_millis(100))
-                    .expect("event buf poisoned");
-                buf = guard;
+                buf = state.ready.wait(buf).expect("event buf poisoned");
             }
         };
         match step {
@@ -854,8 +964,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result
                 writeln!(writer, "{}", shared.status_json().render())?;
             }
             Ok(Request::Shutdown) => {
-                shared.accepting.store(false, Ordering::Relaxed);
-                shared.queue_ready.notify_all();
+                shared.stop();
                 let _ = writeln!(
                     writer,
                     "{}",

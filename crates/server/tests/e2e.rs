@@ -8,7 +8,8 @@ use secsim_server::{JobServer, ServerConfig};
 use secsim_stats::Json;
 use secsim_workloads::BenchId;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("secsim-serve-e2e-{tag}-{}", std::process::id()));
@@ -242,5 +243,112 @@ fn lru_eviction_under_a_tiny_budget_keeps_survivors_valid() {
     );
     client::shutdown(&addr).expect("shutdown second server");
     handle.join().expect("server thread").expect("serve returns");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `server.serve()` on a thread and hands its result back through
+/// a channel, so a missed accept wakeup fails the test via
+/// `recv_timeout` instead of hanging it.
+fn serve_in_background(server: JobServer) -> mpsc::Receiver<std::io::Result<Json>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.serve());
+    });
+    rx
+}
+
+/// With a blocking accept, the `shutdown` handler itself must wake the
+/// accept loop: an idle server with no other connection returns
+/// promptly, also when bound to the unspecified address (the wake
+/// connection then goes through loopback).
+#[test]
+fn idle_server_returns_promptly_after_shutdown() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let dir = temp_dir("idle-shutdown");
+        let cfg = ServerConfig {
+            addr: bind.to_string(),
+            store_dir: dir.join("store"),
+            ..ServerConfig::default()
+        };
+        let server = JobServer::bind(&cfg).expect("bind");
+        let port = server.local_addr().expect("local addr").port();
+        let done = serve_in_background(server);
+        client::shutdown(&format!("127.0.0.1:{port}")).expect("shutdown");
+        let status = done
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("serve() on {bind} must return within 2 s of a shutdown"))
+            .expect("serve returns");
+        assert_eq!(status.get("accepting").and_then(Json::as_bool), Some(false));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Admission adds no polling delay: 16 sequential single-point jobs
+/// answered from the sweep memo, each on a fresh connection, finish in
+/// under 160 ms total; an accept loop polling every 20 ms needs about
+/// 320 ms. The final status carries one queue and one job latency
+/// sample per finished job.
+#[test]
+fn sequential_memo_hit_jobs_admit_without_polling_delay() {
+    let dir = temp_dir("memo-latency");
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        threads: 2,
+        store_dir: dir.join("store"),
+        ..ServerConfig::default()
+    };
+    let server = JobServer::bind(&cfg).expect("bind");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let done = serve_in_background(server);
+
+    // 16 distinct points, simulated once by one warm-up job; each later
+    // single-point job is then a fresh job (no submission dedup) whose
+    // point is a memo hit.
+    let points: Vec<SweepPoint> = (0..16)
+        .map(|i| {
+            let opts = RunOpts { max_insts: 2_000 + i, ..RunOpts::default() };
+            SweepPoint::of(BenchId::Gzip, Policy::baseline(), &opts)
+        })
+        .collect();
+    client::run_sweep(&addr, &points).expect("warm-up sweep");
+
+    let start = Instant::now();
+    for p in &points {
+        let r = client::run_sweep(&addr, std::slice::from_ref(p)).expect("memo-hit job");
+        assert!(r[0].is_ok(), "memo-hit point reports");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(160),
+        "16 memo-hit jobs took {elapsed:?}; admission must not poll"
+    );
+
+    client::shutdown(&addr).expect("shutdown");
+    let status = done
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve() returns after shutdown")
+        .expect("serve returns");
+    let jobs_done = status.get("jobs_done").and_then(Json::as_u64).expect("jobs_done");
+    assert_eq!(jobs_done, 17);
+    let simulated = status.get("sweep").and_then(|s| s.get("simulated")).and_then(Json::as_u64);
+    assert_eq!(simulated, Some(16), "the timed jobs must all be memo hits");
+    for which in ["queue", "job"] {
+        let h = status
+            .get("latency_ms")
+            .and_then(|l| l.get(which))
+            .unwrap_or_else(|| panic!("status carries latency_ms.{which}"));
+        let field = |name: &str| {
+            h.get(name)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("latency_ms.{which}.{name}"))
+        };
+        assert_eq!(field("count"), jobs_done, "one {which} sample per finished job");
+        assert!(
+            field("p50") <= field("p90") && field("p90") <= field("p99"),
+            "latency_ms.{which} percentiles must be ordered: {}",
+            h.render()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

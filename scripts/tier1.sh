@@ -22,9 +22,15 @@ echo "== perf smoke: throughput gate vs recorded 'observability' label =="
 # nothing. Fails on >10% insts/sec regression in any measured case.
 ./target/release/perf --smoke --compare observability
 
-echo "== sweep smoke: fresh run, then cache hit =="
 SMOKE_RESULTS="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_RESULTS"' EXIT
+
+echo "== repro gate: every paper claim checked by verify_repro =="
+# Default instruction budget (SECSIM_INSTS is set only further down),
+# fresh cache in a temp dir; exits non-zero if any claim fails.
+SECSIM_RESULTS="$SMOKE_RESULTS/repro" ./target/release/verify_repro
+
+echo "== sweep smoke: fresh run, then cache hit =="
 export SECSIM_RESULTS="$SMOKE_RESULTS"
 export SECSIM_INSTS=20000
 ./target/release/fig11 > "$SMOKE_RESULTS/fresh.txt"
